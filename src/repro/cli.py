@@ -512,9 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "or any registered kernel")
     p_map.add_argument("--auto-threshold", type=int, default=None,
                        metavar="N",
-                       help="auto kernel routing cutoff: combine calls "
-                            "with at least N candidate pairs go to the "
-                            "soa kernel (default 64)")
+                       help="auto kernel routing cutoff: series combine "
+                            "calls with at least N candidate pairs go to "
+                            "the soa kernel, everything else to the "
+                            "reference kernel (default 2048, the measured "
+                            "crossover; DESIGN.md section 12)")
     p_map.add_argument("--netlist", action="store_true",
                        help="print the SPICE-style transistor netlist")
     p_map.add_argument("--dot", action="store_true",
@@ -558,8 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="DP combine kernel for every task")
     p_batch.add_argument("--auto-threshold", type=int, default=None,
                          metavar="N",
-                         help="auto kernel routing cutoff in candidate "
-                              "pairs (default 64)")
+                         help="auto kernel routing cutoff: series grids "
+                              "of at least N candidate pairs go to soa "
+                              "(default 2048, the measured crossover)")
     p_batch.add_argument("--store", metavar="PATH", default=None,
                          help="mount the persistent cone cache at PATH "
                               "under every worker (see 'soidomino cache')")

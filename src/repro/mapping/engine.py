@@ -100,9 +100,9 @@ class MapperConfig:
         :func:`repro.mapping.kernel.available_kernels`.  Built in:
         ``"reference"`` — the scalar Python oracle; ``"soa"`` — the
         structure-of-arrays numpy kernel (bit-identical tables,
-        requires numpy); ``"auto"`` (the default) — a hybrid routing
-        each combine call by operand size, soa when numpy is importable
-        and the batch is large enough to amortize the array overhead.
+        requires numpy); ``"auto"`` (the default) — a hybrid sending
+        large series combine calls to soa when numpy is importable and
+        everything else to the reference kernel.
         Third-party kernels registered via
         :func:`~repro.mapping.kernel.register_kernel` are selected the
         same way.  Excluded from :meth:`fingerprint` because the kernel
@@ -110,10 +110,14 @@ class MapperConfig:
         produce bit-identical tables, so cached/checkpointed artifacts
         are shared across them.
     auto_threshold:
-        The ``"auto"`` kernel's routing cutoff: a combine call goes to
-        the soa kernel when ``len(view_a) * len(view_b)`` is at least
-        this many candidate pairs, to the reference kernel otherwise
-        (default :data:`~repro.mapping.kernel.AUTO_THRESHOLD`).  Pure
+        The ``"auto"`` kernel's routing cutoff: a series (AND) combine
+        call goes to the soa kernel when ``len(view_a) * len(view_b)``
+        is at least this many candidate pairs; parallel (OR) calls and
+        smaller grids go to the reference kernel.  The default,
+        :data:`~repro.mapping.kernel.AUTO_THRESHOLD` (2048), is the
+        measured crossover (DESIGN.md §12, reproduced by
+        ``benchmarks/kernel_crossover.py``): above every single-best
+        grid at the paper's W5/H8, so paper runs stay scalar.  Pure
         execution strategy like ``kernel`` — any setting yields
         bit-identical tables — so it is likewise excluded from
         :meth:`fingerprint`; the decision tally is observable in
@@ -337,6 +341,11 @@ class MappingEngine:
         # tuple_key_metrics; a model overriding tuple_key directly falls
         # back to the allocate-then-insert path.
         self._metric_key = metric_fast_path(cost_model)
+        # Gate-formation prices, fixed for the run: overhead of a
+        # footless and a footed gate, and one committed discharge.
+        self._gate_overheads = (cost_model.gate_overhead_cost(False),
+                                cost_model.gate_overhead_cost(True))
+        self._discharge_cost = cost_model.discharge_cost()
         #: the DP combine kernel this run executes (KernelProtocol)
         self.kernel = resolve_kernel(self)
 
@@ -517,19 +526,23 @@ class MappingEngine:
         best = None
         best_key = None
         policy = self.config.ground_policy
+        pbe = self.config.pbe_aware
+        overhead_footless, overhead_footed = self._gate_overheads
+        discharge = self._discharge_cost
+        gate_key = self.model.gate_key
         for t in table.all_tuples():
-            overhead = self.model.gate_overhead_cost(t.has_pi)
-            wcost = t.wcost + overhead
+            wcost = t.wcost + (overhead_footed if t.has_pi
+                               else overhead_footless)
             disch = t.disch
             trans = t.trans + (5 if t.has_pi else 4)
             ungrounded = (policy == "pessimistic"
                           or (policy == "footless" and t.has_pi))
-            if ungrounded and self.config.pbe_aware:
-                wcost += t.p_dis * self.model.discharge_cost()
+            if ungrounded and pbe:
+                wcost += t.p_dis * discharge
                 disch += t.p_dis
                 trans += t.p_dis
             levels = t.levels + 1
-            key = (self.model.gate_key(wcost, levels), t.p_dis)
+            key = (gate_key(wcost, levels), t.p_dis)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (t, wcost, trans, disch, levels)

@@ -13,10 +13,11 @@ Three kernels ship built in:
   (:mod:`repro.mapping.soa`): candidate generation and dominance
   filtering as broadcasted column arithmetic, bit-identical to the
   reference by construction (see DESIGN.md §12).
-* ``"auto"`` — a hybrid that routes each combine call to the soa kernel
-  when numpy is importable and the operand views are large enough
-  (``MapperConfig.auto_threshold``) to amortize the array overhead, and
-  to the reference kernel otherwise.  Sound because both kernels
+* ``"auto"`` — a hybrid that routes a series (AND) combine call to the
+  soa kernel when numpy is importable and its candidate grid is at
+  least ``MapperConfig.auto_threshold`` pairs, and every other call to
+  the reference kernel (see :data:`AUTO_THRESHOLD` for the measured
+  crossover behind the rule).  Sound because both kernels
   produce identical tables *and* identical stats counters; the per-call
   routing tally lands in ``stats.auto_routed_soa`` /
   ``stats.auto_routed_reference`` and the report kernel block.
@@ -56,10 +57,15 @@ from .tuples import MapTuple, TupleTable
 KERNELS = ("reference", "soa", "auto")
 
 #: Default for ``MapperConfig.auto_threshold``: minimum
-#: ``len(view_a) * len(view_b)`` for the auto kernel to route a combine
-#: call to the soa kernel; smaller batches stay on the reference
-#: kernel, whose per-pair cost beats the fixed numpy dispatch overhead.
-AUTO_THRESHOLD = 64
+#: ``len(view_a) * len(view_b)`` for the auto kernel to route a series
+#: combine call to the soa kernel.  Measured with
+#: ``benchmarks/kernel_crossover.py`` (per-op tables in DESIGN.md §12):
+#: soa wins every series bucket from 2,048 pairs at W5/H8, W8/H10 and
+#: W12/H14, single and Pareto tables alike, and loses every parallel
+#: (OR) bucket at W5/H8 and W8/H10 up to 8,192 pairs.  2,048 also sits
+#: above every single-best grid at the paper's W5/H8 (at most about
+#: 41 x 41 pairs), so paper-limit runs never pay for soa.
+AUTO_THRESHOLD = 2048
 
 #: name -> factory.  A factory is called with the bound-to-be
 #: :class:`~repro.mapping.engine.MappingEngine` and returns an
@@ -177,11 +183,72 @@ class KernelProtocol(Protocol):
         """Per-kernel diagnostics for reports (JSON-ready)."""
 
 
+#: Stacking-order choices of one series pair, as "is ``b`` on top?"
+#: flags: one order for the single-order rules, both for exhaustive.
+_A_ON_TOP = (False,)
+_B_ON_TOP = (True,)
+_BOTH_ORDERS = (False, True)
+
+
+def _par_tuple(a: MapTuple, b: MapTuple, pbe: bool) -> MapTuple:
+    """``a`` beside ``b``: the parallel combination of two tuples."""
+    a_h = a.height
+    b_h = b.height
+    a_lv = a.levels
+    b_lv = b.levels
+    # Inside a parallel stack every potential point rides on the
+    # stack's shared bottom node: all of them are "tail" points
+    # (p_tail == p_dis, par_b True).
+    p_dis = (a.p_dis + b.p_dis) if pbe else 0
+    return MapTuple(a.width + b.width, b_h if b_h > a_h else a_h,
+                    a.wcost + b.wcost, a.trans + b.trans, a.disch + b.disch,
+                    b_lv if b_lv > a_lv else a_lv, p_dis, True,
+                    a.has_pi or b.has_pi, p_tail=p_dis, ends_par=True,
+                    op="par", left=a, right=b)
+
+
+def _ser_tuple(top: MapTuple, bottom: MapTuple, pbe: bool,
+               discharge: float) -> MapTuple:
+    """``top`` stacked on ``bottom``: the series combination."""
+    if pbe:
+        if top.par_b:
+            # The new junction is the never-grounded bottom node of the
+            # top's trailing parallel stack: discharge it and the
+            # stack's internal (tail) points now.  The top's spine
+            # junctions keep their own classification.
+            committed = top.p_tail + 1
+            p_dis = (top.p_dis - top.p_tail) + bottom.p_dis
+        else:
+            # Series-ending top: the junction joins the combined spine
+            # as a new potential point; nothing commits.
+            committed = 0
+            p_dis = top.p_dis + 1 + bottom.p_dis
+        p_tail = bottom.p_tail
+        par_b = bottom.par_b
+    else:
+        committed = 0
+        p_dis = 0
+        p_tail = 0
+        par_b = False
+    t_w = top.width
+    b_w = bottom.width
+    t_lv = top.levels
+    b_lv = bottom.levels
+    return MapTuple(t_w if t_w > b_w else b_w, top.height + bottom.height,
+                    top.wcost + bottom.wcost + committed * discharge,
+                    top.trans + bottom.trans + committed,
+                    top.disch + bottom.disch + committed,
+                    t_lv if t_lv > b_lv else b_lv, p_dis, par_b,
+                    top.has_pi or bottom.has_pi, p_tail=p_tail,
+                    ends_par=bottom.ends_par, op="ser", left=top,
+                    right=bottom)
+
+
 class ReferenceKernel:
     """The scalar oracle kernel.
 
     ``combine`` is deliberately written flat: configuration, cost
-    prices, and the table's slot map are bound to locals once per node,
+    prices, and per-call slot state are bound to locals once per node,
     the fanin view is pre-filtered per ``{W,H}`` budget so the inner
     loop touches only feasible pairs, and a candidate's scalar metrics
     are priced and bound-checked against the slot incumbent *before*
@@ -189,13 +256,22 @@ class ReferenceKernel:
     provenance back-pointer (op/left/right) instead of a built
     structure tree.
 
+    Single-best tables (the paper's mode) run a slot-indexed loop: a
+    slot is the integer ``width * (h_max + 1) + height``, the incumbent
+    key, ``p_dis`` and operand pair of every slot live in flat per-call
+    lists, and a :class:`MapTuple` is built only for each slot's final
+    winner — from the same operands with the same arithmetic, so it is
+    the tuple an eager loop would have kept.  With the base
+    ``tuple_key_metrics`` (key is ``wcost``) the metric call is skipped
+    altogether.  Pareto tables keep every accepted candidate as a tuple.
+
     Bit-identity with the eager seed kernel is load-bearing and rests
     on three invariants: (1) feasible pairs are visited in exactly the
     original view order (the pre-filtered lists preserve relative
     order), (2) the keep/evict decisions are literal transcriptions of
-    :meth:`TupleTable.insert`, and (3) a slot list is only created when
-    its first candidate arrives, so slot insertion order — which the
-    tree cache serializes — is unchanged.
+    :meth:`TupleTable.insert`, and (3) a slot enters the table when its
+    first candidate arrives, so slot insertion order — which the tree
+    cache serializes — is unchanged.
     """
 
     name = "reference"
@@ -203,9 +279,23 @@ class ReferenceKernel:
 
     def __init__(self):
         self._engine = None
+        self._plain_key = False
 
     def build(self, engine) -> None:
         self._engine = engine
+        metric = engine._metric_key
+        self._plain_key = (getattr(metric, "__func__", None)
+                           is CostModel.tuple_key_metrics)
+        # The series stacking rule in force: bulk-CMOS "adverse", the
+        # a-on-top "naive", both orders ("exhaustive"), or the paper's.
+        config = engine.config
+        pbe = config.pbe_aware
+        ordering = config.ordering
+        self._adverse = (ordering == "adverse"
+                         or (not pbe and ordering != "naive"))
+        self._naive = not self._adverse and (not pbe or ordering == "naive")
+        self._exhaustive = (not self._adverse and not self._naive
+                            and ordering == "exhaustive")
 
     def finalize(self) -> None:
         pass
@@ -215,16 +305,202 @@ class ReferenceKernel:
 
     def combine(self, table: TupleTable, is_or: bool,
                 view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
+        if self._engine.config.pareto:
+            self._combine_pareto(table, is_or, view_a, view_b)
+        else:
+            self._combine_single(table, is_or, view_a, view_b)
+
+    def _combine_single(self, table, is_or, view_a, view_b) -> None:
         engine = self._engine
         config = engine.config
         w_max = config.w_max
         h_max = config.h_max
         pbe = config.pbe_aware
-        pareto = config.pareto
-        ordering = config.ordering
-        adverse = ordering == "adverse" or (not pbe and ordering != "naive")
-        naive = not adverse and (not pbe or ordering == "naive")
-        exhaustive = not adverse and not naive and ordering == "exhaustive"
+        adverse = self._adverse
+        naive = self._naive
+        exhaustive = self._exhaustive
+        metric = engine._metric_key
+        plain = self._plain_key
+        key_fn = table.key_fn
+        discharge = engine.model.discharge_cost()
+        stride = h_max + 1
+        size = (w_max + 1) * stride
+        # Incumbent state per slot id; a slot's operands stay None until
+        # a candidate of this call wins it.
+        inc_key = [None] * size
+        inc_pd = [0] * size
+        inc_top = [None] * size
+        inc_bot = [None] * size
+        arrivals = []
+        slots = table.raw_slots()
+        seeded = []
+        for (width, height), slot in slots.items():
+            if 0 < width <= w_max and 0 < height <= h_max:
+                sid = width * stride + height
+                inc_key[sid], incumbent = slot[0]
+                inc_pd[sid] = incumbent.p_dis
+                seeded.append(sid)
+        created = 0
+        replaced = 0
+        if is_or:
+            def make(a, b):
+                return _par_tuple(a, b, pbe)
+
+            # Parallel composition: W adds, so b must fit the remaining
+            # width budget (heights are both within h_max already).
+            recs = [(b, b.width, b.width * stride, b.height, b.wcost,
+                     b.levels, b.p_dis if pbe else 0) for b in view_b]
+            by_budget = [[r for r in recs if r[1] <= budget]
+                         for budget in range(w_max)]
+            for a in view_a:
+                a_w = a.width
+                budget = w_max - a_w
+                if budget < 1:
+                    continue
+                bucket = by_budget[budget]
+                created += len(bucket)
+                base = a_w * stride
+                a_h = a.height
+                a_wc = a.wcost
+                a_lv = a.levels
+                a_pd = a.p_dis if pbe else 0
+                for b, _, b_ws, b_h, b_wc, b_lv, b_pd in bucket:
+                    sid = base + b_ws + (b_h if b_h > a_h else a_h)
+                    wcost = a_wc + b_wc
+                    if plain:
+                        key = wcost
+                    elif metric is not None:
+                        key = metric(wcost, b_lv if b_lv > a_lv else a_lv)
+                    else:
+                        key = key_fn(make(a, b))
+                    p_dis = a_pd + b_pd
+                    inc = inc_key[sid]
+                    if inc is None:
+                        arrivals.append(sid)
+                    elif key < inc or (key == inc and p_dis < inc_pd[sid]):
+                        replaced += 1
+                    else:
+                        continue
+                    inc_key[sid] = key
+                    inc_pd[sid] = p_dis
+                    inc_top[sid] = a
+                    inc_bot[sid] = b
+        else:
+            def make(top, bottom):
+                return _ser_tuple(top, bottom, pbe, discharge)
+
+            # Series composition: H adds, so b must fit the remaining
+            # height budget (widths are both within w_max already).
+            # What an operand adds on either side of the stack, as
+            # (p_dis as the bottom, p_dis as the top, committed
+            # discharge cost as the top) — ``_ser_tuple``'s arithmetic.
+            def terms(t):
+                if not pbe:
+                    return 0, 0, 0 * discharge
+                if t.par_b:
+                    return (t.p_dis, t.p_dis - t.p_tail,
+                            (t.p_tail + 1) * discharge)
+                return t.p_dis, t.p_dis + 1, 0 * discharge
+
+            recs = [(b, b.width, b.height, b.wcost, b.levels, *terms(b),
+                     b.par_b, b.ends_par) for b in view_b]
+            by_budget = [[r for r in recs if r[2] <= budget]
+                         for budget in range(h_max)]
+            pair_cands = 2 if exhaustive else 1
+            for a in view_a:
+                a_h = a.height
+                budget = h_max - a_h
+                if budget < 1:
+                    continue
+                bucket = by_budget[budget]
+                created += pair_cands * len(bucket)
+                a_w = a.width
+                a_wc = a.wcost
+                a_lv = a.levels
+                a_pd, a_tpd, a_cc = terms(a)
+                a_pb = a.par_b
+                a_ep = a.ends_par
+                for (b, b_w, b_h, b_wc, b_lv, b_pd, b_tpd, b_cc, b_pb,
+                     b_ep) in bucket:
+                    sid = (b_w if b_w > a_w else a_w) * stride + a_h + b_h
+                    # Stacking order: the configured ordering rule picks
+                    # which operand(s) go on top.
+                    if exhaustive:
+                        orders = _BOTH_ORDERS
+                    elif adverse:
+                        # Bulk-CMOS habit (Figure 2(a)): the parallel
+                        # stack rises toward the dynamic node.
+                        orders = (_B_ON_TOP if b_ep and not a_ep
+                                  else _A_ON_TOP)
+                    elif naive:
+                        orders = _A_ON_TOP
+                    # The paper's rule: a parallel-stack-bearing operand
+                    # sinks to the bottom (its discharge points may be
+                    # protected by ground); with both or neither, the
+                    # operand with more potential discharge points sinks.
+                    elif a_pb != b_pb:
+                        orders = _B_ON_TOP if a_pb else _A_ON_TOP
+                    elif a_pd >= b_pd:
+                        orders = _B_ON_TOP
+                    else:
+                        orders = _A_ON_TOP
+                    wsum = a_wc + b_wc
+                    for b_on_top in orders:
+                        if b_on_top:
+                            p_dis = b_tpd + a_pd
+                            wcost = wsum + b_cc
+                        else:
+                            p_dis = a_tpd + b_pd
+                            wcost = wsum + a_cc
+                        if plain:
+                            key = wcost
+                        elif metric is not None:
+                            key = metric(wcost,
+                                         b_lv if b_lv > a_lv else a_lv)
+                        else:
+                            key = key_fn(make(b, a) if b_on_top
+                                         else make(a, b))
+                        inc = inc_key[sid]
+                        if inc is None:
+                            arrivals.append(sid)
+                        elif key < inc or (key == inc
+                                           and p_dis < inc_pd[sid]):
+                            replaced += 1
+                        else:
+                            continue
+                        inc_key[sid] = key
+                        inc_pd[sid] = p_dis
+                        if b_on_top:
+                            inc_top[sid] = b
+                            inc_bot[sid] = a
+                        else:
+                            inc_top[sid] = a
+                            inc_bot[sid] = b
+        # Only now does any tuple exist: one per slot won in this call.
+        for sid in seeded:
+            top = inc_top[sid]
+            if top is not None:
+                slots[divmod(sid, stride)][0] = (
+                    inc_key[sid], make(top, inc_bot[sid]))
+        for sid in arrivals:
+            slots[divmod(sid, stride)] = [
+                (inc_key[sid], make(inc_top[sid], inc_bot[sid]))]
+        pruned = created - len(arrivals) - replaced
+        stats = engine.stats
+        stats.tuples_created += created
+        stats.tuples_pruned += pruned
+        if metric is not None:
+            stats.bound_skips += pruned
+
+    def _combine_pareto(self, table, is_or, view_a, view_b) -> None:
+        engine = self._engine
+        config = engine.config
+        w_max = config.w_max
+        h_max = config.h_max
+        pbe = config.pbe_aware
+        adverse = self._adverse
+        naive = self._naive
+        exhaustive = self._exhaustive
         metric = engine._metric_key
         key_fn = table.key_fn
         discharge = engine.model.discharge_cost()
@@ -235,8 +511,6 @@ class ReferenceKernel:
         pruned = 0
         skips = 0
         if is_or:
-            # Parallel composition: W adds, so b must fit the remaining
-            # width budget (heights are both within h_max already).
             by_budget = [[b for b in view_b if b.width <= budget]
                          for budget in range(w_max)]
             for a in view_a:
@@ -246,11 +520,8 @@ class ReferenceKernel:
                 a_w = a.width
                 a_h = a.height
                 a_wc = a.wcost
-                a_tr = a.trans
-                a_di = a.disch
                 a_lv = a.levels
                 a_pd = a.p_dis
-                a_hp = a.has_pi
                 for b in by_budget[budget]:
                     created += 1
                     width = a_w + b.width
@@ -259,52 +530,22 @@ class ReferenceKernel:
                     wcost = a_wc + b.wcost
                     b_lv = b.levels
                     levels = b_lv if b_lv > a_lv else a_lv
-                    # Inside a parallel stack every potential point rides
-                    # on the stack's shared bottom node: all of them are
-                    # "tail" points (p_tail == p_dis, par_b True).
                     p_dis = (a_pd + b.p_dis) if pbe else 0
                     if metric is not None:
                         key = metric(wcost, levels)
                         cand = None
                     else:
-                        cand = MapTuple(width, height, wcost, a_tr + b.trans,
-                                        a_di + b.disch, levels, p_dis, True,
-                                        a_hp or b.has_pi, p_tail=p_dis,
-                                        ends_par=True, op="par",
-                                        left=a, right=b)
+                        cand = _par_tuple(a, b, pbe)
                         key = key_fn(cand)
                     slot = slots_get((width, height))
                     if slot is None:
                         if cand is None:
-                            cand = MapTuple(width, height, wcost,
-                                            a_tr + b.trans, a_di + b.disch,
-                                            levels, p_dis, True,
-                                            a_hp or b.has_pi, p_tail=p_dis,
-                                            ends_par=True, op="par",
-                                            left=a, right=b)
+                            cand = _par_tuple(a, b, pbe)
                         slots[(width, height)] = [(key, cand)]
                         continue
-                    if not pareto:
-                        inc_key, inc = slot[0]
-                        if key < inc_key or (key == inc_key
-                                             and p_dis < inc.p_dis):
-                            if cand is None:
-                                cand = MapTuple(width, height, wcost,
-                                                a_tr + b.trans,
-                                                a_di + b.disch,
-                                                levels, p_dis, True,
-                                                a_hp or b.has_pi,
-                                                p_tail=p_dis, ends_par=True,
-                                                op="par", left=a, right=b)
-                            slot[0] = (key, cand)
-                        else:
-                            pruned += 1
-                            if cand is None:
-                                skips += 1
-                        continue
-                    # Pareto front; the candidate has par_b True and
-                    # p_tail == p_dis, which simplifies both dominance
-                    # directions of TupleTable.insert.
+                    # The candidate has par_b True and p_tail == p_dis,
+                    # which simplifies both dominance directions of
+                    # TupleTable.insert.
                     dominated = False
                     for kept_key, kept in slot:
                         if (kept_key <= key and kept.p_dis <= p_dis
@@ -317,11 +558,7 @@ class ReferenceKernel:
                             skips += 1
                         continue
                     if cand is None:
-                        cand = MapTuple(width, height, wcost, a_tr + b.trans,
-                                        a_di + b.disch, levels, p_dis, True,
-                                        a_hp or b.has_pi, p_tail=p_dis,
-                                        ends_par=True, op="par",
-                                        left=a, right=b)
+                        cand = _par_tuple(a, b, pbe)
                     slot[:] = [e for e in slot
                                if not (key <= e[0] and p_dis <= e[1].p_dis
                                        and p_dis <= e[1].p_tail
@@ -331,8 +568,6 @@ class ReferenceKernel:
                         slot.sort(key=lambda e: (e[0], e[1].p_dis))
                         del slot[max_front:]
         else:
-            # Series composition: H adds, so b must fit the remaining
-            # height budget (widths are both within w_max already).
             by_budget = [[b for b in view_b if b.height <= budget]
                          for budget in range(h_max)]
             for a in view_a:
@@ -340,23 +575,15 @@ class ReferenceKernel:
                 if budget < 1:
                     continue
                 for b in by_budget[budget]:
-                    # Stacking order: the configured ordering rule picks
-                    # which operand(s) go on top.
-                    if adverse:
-                        # Bulk-CMOS habit (Figure 2(a)): the parallel
-                        # stack rises toward the dynamic node.
+                    if exhaustive:
+                        orders = ((a, b), (b, a))
+                    elif adverse:
                         if b.ends_par and not a.ends_par:
                             orders = ((b, a),)
                         else:
                             orders = ((a, b),)
                     elif naive:
                         orders = ((a, b),)
-                    elif exhaustive:
-                        orders = ((a, b), (b, a))
-                    # The paper's rule: a parallel-stack-bearing operand
-                    # sinks to the bottom (its discharge points may be
-                    # protected by ground); with both or neither, the
-                    # operand with more potential discharge points sinks.
                     elif a.par_b != b.par_b:
                         orders = ((b, a),) if a.par_b else ((a, b),)
                     elif a.p_dis >= b.p_dis:
@@ -371,19 +598,10 @@ class ReferenceKernel:
                         height = top.height + bottom.height
                         if pbe:
                             if top.par_b:
-                                # The new junction is the never-grounded
-                                # bottom node of the top's trailing
-                                # parallel stack: discharge it and the
-                                # stack's internal (tail) points now.
-                                # The top's spine junctions keep their
-                                # own classification.
                                 committed = top.p_tail + 1
                                 p_dis = ((top.p_dis - top.p_tail)
                                          + bottom.p_dis)
                             else:
-                                # Series-ending top: the junction joins
-                                # the combined spine as a new potential
-                                # point; nothing commits.
                                 committed = 0
                                 p_dis = top.p_dis + 1 + bottom.p_dis
                             p_tail = bottom.p_tail
@@ -402,55 +620,14 @@ class ReferenceKernel:
                             key = metric(wcost, levels)
                             cand = None
                         else:
-                            cand = MapTuple(width, height, wcost,
-                                            top.trans + bottom.trans
-                                            + committed,
-                                            top.disch + bottom.disch
-                                            + committed,
-                                            levels, p_dis, par_b,
-                                            top.has_pi or bottom.has_pi,
-                                            p_tail=p_tail,
-                                            ends_par=bottom.ends_par,
-                                            op="ser", left=top, right=bottom)
+                            cand = _ser_tuple(top, bottom, pbe, discharge)
                             key = key_fn(cand)
                         slot = slots_get((width, height))
                         if slot is None:
                             if cand is None:
-                                cand = MapTuple(width, height, wcost,
-                                                top.trans + bottom.trans
-                                                + committed,
-                                                top.disch + bottom.disch
-                                                + committed,
-                                                levels, p_dis, par_b,
-                                                top.has_pi or bottom.has_pi,
-                                                p_tail=p_tail,
-                                                ends_par=bottom.ends_par,
-                                                op="ser", left=top,
-                                                right=bottom)
+                                cand = _ser_tuple(top, bottom, pbe,
+                                                  discharge)
                             slots[(width, height)] = [(key, cand)]
-                            continue
-                        if not pareto:
-                            inc_key, inc = slot[0]
-                            if key < inc_key or (key == inc_key
-                                                 and p_dis < inc.p_dis):
-                                if cand is None:
-                                    cand = MapTuple(width, height, wcost,
-                                                    top.trans + bottom.trans
-                                                    + committed,
-                                                    top.disch + bottom.disch
-                                                    + committed,
-                                                    levels, p_dis, par_b,
-                                                    top.has_pi
-                                                    or bottom.has_pi,
-                                                    p_tail=p_tail,
-                                                    ends_par=bottom.ends_par,
-                                                    op="ser", left=top,
-                                                    right=bottom)
-                                slot[0] = (key, cand)
-                            else:
-                                pruned += 1
-                                if cand is None:
-                                    skips += 1
                             continue
                         dominated = False
                         for kept_key, kept in slot:
@@ -465,16 +642,7 @@ class ReferenceKernel:
                                 skips += 1
                             continue
                         if cand is None:
-                            cand = MapTuple(width, height, wcost,
-                                            top.trans + bottom.trans
-                                            + committed,
-                                            top.disch + bottom.disch
-                                            + committed,
-                                            levels, p_dis, par_b,
-                                            top.has_pi or bottom.has_pi,
-                                            p_tail=p_tail,
-                                            ends_par=bottom.ends_par,
-                                            op="ser", left=top, right=bottom)
+                            cand = _ser_tuple(top, bottom, pbe, discharge)
                         slot[:] = [e for e in slot
                                    if not (key <= e[0]
                                            and p_dis <= e[1].p_dis
@@ -491,12 +659,18 @@ class ReferenceKernel:
 
 
 class AutoKernel:
-    """Hybrid dispatch: soa for large batches, reference for small ones.
+    """Hybrid dispatch: soa for large series grids, reference otherwise.
+
+    A series (AND) combine call goes to the soa kernel when its
+    candidate grid ``len(view_a) * len(view_b)`` is at least
+    ``MapperConfig.auto_threshold`` pairs (via ``resolve_kernel``);
+    parallel (OR) calls and smaller grids stay on the reference kernel,
+    which the measured crossover (:data:`AUTO_THRESHOLD`) shows never
+    losing to soa on OR calls of any size that mattered.
 
     Sound as a per-call choice because both kernels produce identical
     tables and identical stats counters — the routing decision is pure
-    execution strategy.  The batch-size cutoff comes from
-    ``MapperConfig.auto_threshold`` (via ``resolve_kernel``), and every
+    execution strategy.  Every
     per-call decision is tallied into ``stats.auto_routed_soa`` /
     ``stats.auto_routed_reference`` so reports can show how a hybrid
     run actually split its work.
@@ -519,7 +693,7 @@ class AutoKernel:
         self._soa.build(engine)
 
     def combine(self, table, is_or, view_a, view_b) -> None:
-        if len(view_a) * len(view_b) >= self._threshold:
+        if not is_or and len(view_a) * len(view_b) >= self._threshold:
             self._stats.auto_routed_soa += 1
             self._soa.combine(table, is_or, view_a, view_b)
         else:

@@ -245,9 +245,16 @@ class LogicNetwork:
         Primary inputs are always retained.  Returns the number of nodes
         removed.
         """
-        live = set(self._pis) | set(self._pos)
-        for p in self._pos:
-            live |= self.transitive_fanin(p)
+        # One traversal shared by every PO: a node reached from one
+        # output is never walked again from another.
+        live = set(self._pis)
+        node = self.node
+        stack = list(self._pos)
+        while stack:
+            u = stack.pop()
+            if u not in live:
+                live.add(u)
+                stack.extend(node(u).fanins)
         dead = [u for u in self._nodes if u not in live]
         for u in dead:
             del self._nodes[u]

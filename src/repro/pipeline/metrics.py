@@ -69,7 +69,7 @@ class MappingStats:
         ran instead (once per affected engine construction).
     auto_routed_soa, auto_routed_reference:
         The ``"auto"`` kernel's per-call routing decisions: combine
-        calls sent to the soa kernel (batch at least
+        calls sent to the soa kernel (series grids of at least
         ``MapperConfig.auto_threshold`` candidate pairs) versus kept on
         the reference kernel.  Both zero unless the hybrid ran.
     """

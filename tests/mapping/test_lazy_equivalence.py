@@ -14,10 +14,11 @@ combination plus mid-size spot checks; set ``REPRO_EQUIV_FULL=1`` to
 sweep all 28 circuits (the full pinned digest set, a few minutes).
 
 Every digest check runs under each available DP kernel (reference and,
-when numpy is importable, soa) against the *same* pinned seed digests:
-the structure-of-arrays kernel must reproduce the seed bit-for-bit too,
-with a private tree cache per kernel so each kernel genuinely executes
-its own DP instead of replaying the other's cached tables.
+when numpy is importable, soa and the auto hybrid) against the *same*
+pinned seed digests: the structure-of-arrays kernel and a run mixing
+both kernels must reproduce the seed bit-for-bit too, with a private
+tree cache per kernel so each kernel genuinely executes its own DP
+instead of replaying another's cached tables.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ SPOT_CIRCUITS = ("f51m", "c432", "c880")
 
 try:
     import numpy  # noqa: F401
-    KERNELS_UNDER_TEST = ("reference", "soa")
+    KERNELS_UNDER_TEST = ("reference", "soa", "auto")
 except ImportError:  # pragma: no cover - numpy is installed in CI
     KERNELS_UNDER_TEST = ("reference",)
 
@@ -113,7 +114,7 @@ def test_digest_matches_seed_spot(name, flow, kernel, shared_cache):
 @pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
 def test_digest_matches_seed_full_suite(kernel, shared_cache):
     """Every pinned digest — the whole suite x flows x orderings x modes,
-    once per kernel: the weekly dual-kernel digest gate."""
+    once per kernel: the weekly cross-kernel digest gate."""
     mismatches = []
     for key, expected in sorted(SEED_DIGESTS.items()):
         name, flow, ordering, mode = key.split("/")

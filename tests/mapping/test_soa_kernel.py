@@ -272,29 +272,53 @@ def test_reference_kernel_records_no_soa_activity():
 # ---------------------------------------------------------------------------
 # kernel resolution and routing
 # ---------------------------------------------------------------------------
+class _SpyKernel:
+    def __init__(self, tag, calls):
+        self.tag = tag
+        self.calls = calls
+
+    def build(self, engine):
+        pass
+
+    def combine(self, table, is_or, view_a, view_b):
+        self.calls.append(self.tag)
+
+    def finalize(self):
+        pass
+
+    def stats(self):
+        return {"active": self.tag}
+
+
 def test_auto_kernel_routes_by_view_product():
     calls = []
-
-    class Spy:
-        def __init__(self, tag):
-            self.tag = tag
-
-        def build(self, engine):
-            pass
-
-        def combine(self, table, is_or, view_a, view_b):
-            calls.append(self.tag)
-
-        def finalize(self):
-            pass
-
-        def stats(self):
-            return {"active": self.tag}
-
-    auto = AutoKernel(Spy("ref"), Spy("soa"), threshold=10)
+    auto = AutoKernel(_SpyKernel("ref", calls), _SpyKernel("soa", calls),
+                      threshold=10)
     auto.combine(None, False, [None] * 3, [None] * 3)    # 9 < 10
     auto.combine(None, False, [None] * 5, [None] * 2)    # 10 >= 10
     assert calls == ["ref", "soa"]
+
+
+def test_auto_kernel_sends_only_series_grids_to_soa():
+    """Series grids at or above the cutoff go to soa; OR never does."""
+    calls = []
+    auto = AutoKernel(_SpyKernel("ref", calls), _SpyKernel("soa", calls),
+                      threshold=10)
+    auto.combine(None, False, [None] * 5, [None] * 2)    # series, at cutoff
+    auto.combine(None, False, [None] * 9, [None] * 1)    # series, below
+    auto.combine(None, True, [None] * 5, [None] * 2)     # OR, at cutoff
+    auto.combine(None, True, [None] * 300, [None] * 300)  # OR, huge
+    assert calls == ["soa", "ref", "ref", "ref"]
+    assert auto.stats()["routed_soa"] == 1
+    assert auto.stats()["routed_reference"] == 3
+
+
+def test_default_cutoff_keeps_paper_limits_scalar():
+    """At W5/H8 single-best grids never reach the default cutoff."""
+    r = map_network(load_circuit("c432"), config=MapperConfig())
+    assert r.mapping.kernel == "hybrid"
+    assert r.stats.auto_routed_soa == 0
+    assert r.stats.auto_routed_reference > 0
 
 
 def test_auto_kernel_mixes_both_kernels_on_real_circuit():

@@ -1,5 +1,7 @@
 """Unit tests for the LogicNetwork DAG container."""
 
+import random
+
 import pytest
 
 from repro.errors import NetworkError
@@ -94,6 +96,33 @@ class TestEditing:
         net.validate()
         # PIs always retained
         assert len(net.pis) == 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_remove_unused_matches_per_po_cones(self, seed):
+        """The shared traversal keeps exactly the union of PO cones."""
+        rng = random.Random(seed)
+        net = LogicNetwork()
+        pool = [net.add_pi(f"i{k}") for k in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 40)):
+            kind = rng.choice(("and", "or", "inv"))
+            if kind == "inv" or len(pool) < 2:
+                pool.append(net.add_inv(rng.choice(pool)))
+            else:
+                fanins = rng.sample(pool, 2)
+                pool.append(net.add_gate(
+                    NodeType.AND if kind == "and" else NodeType.OR, fanins))
+        for k in range(rng.randint(0, 4)):
+            net.add_po(rng.choice(pool), f"o{k}")
+        live = set(net.pis) | set(net.pos)
+        for po in net.pos:
+            live |= net.transitive_fanin(po)
+        expected_order = [u for u in net.node_ids if u in live]
+        pis = list(net.pis)
+        total = len(net)
+        assert net.remove_unused() == total - len(expected_order)
+        assert list(net.node_ids) == expected_order
+        assert list(net.pis) == pis
+        net.validate()
 
     def test_copy_is_independent(self, simple):
         dup = simple.copy()
