@@ -16,8 +16,11 @@ Three kernels ship built in:
 * ``"auto"`` — a hybrid that routes a series (AND) combine call to the
   soa kernel when numpy is importable and its candidate grid is at
   least ``MapperConfig.auto_threshold`` pairs, and every other call to
-  the reference kernel (see :data:`AUTO_THRESHOLD` for the measured
-  crossover behind the rule).  Sound because both kernels
+  the reference kernel; Pareto runs with fewer than
+  :data:`AUTO_PARETO_SLOTS` ``{W,H}`` slots stay on the reference
+  kernel altogether (see :data:`AUTO_THRESHOLD` and
+  :data:`AUTO_PARETO_SLOTS` for the measured crossovers behind the
+  rule).  Sound because both kernels
   produce identical tables *and* identical stats counters; the per-call
   routing tally lands in ``stats.auto_routed_soa`` /
   ``stats.auto_routed_reference`` and the report kernel block.
@@ -40,6 +43,7 @@ diagnostics for reports.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Protocol, runtime_checkable
 
 try:  # numpy is an optional dependency: the soa kernel needs it,
@@ -66,6 +70,15 @@ KERNELS = ("reference", "soa", "auto")
 #: above every single-best grid at the paper's W5/H8 (at most about
 #: 41 x 41 pairs), so paper-limit runs never pay for soa.
 AUTO_THRESHOLD = 2048
+
+#: Pareto-table runs with fewer ``{W,H}`` slots than this —
+#: ``(w_max + 1) * (h_max + 1)`` — never route to soa.  Measured with
+#: ``benchmarks/kernel_crossover.py --modes pareto --ordering
+#: exhaustive`` (DESIGN.md §12): the reference kernel's slot-indexed
+#: front beats the series cutoff in total on f51m up to W18/H22 (437
+#: slots), ties with it at W20/H24 (525) and loses by 10–15% at W22/H26
+#: (621).
+AUTO_PARETO_SLOTS = 621
 
 #: name -> factory.  A factory is called with the bound-to-be
 #: :class:`~repro.mapping.engine.MappingEngine` and returns an
@@ -189,6 +202,10 @@ _A_ON_TOP = (False,)
 _B_ON_TOP = (True,)
 _BOTH_ORDERS = (False, True)
 
+#: Truncation rank of a Pareto-front record: ``(key, p_dis)``, the
+#: stable sort :meth:`TupleTable.insert` truncates by.
+_FRONT_RANK = itemgetter(0, 1)
+
 
 def _par_tuple(a: MapTuple, b: MapTuple, pbe: bool) -> MapTuple:
     """``a`` beside ``b``: the parallel combination of two tuples."""
@@ -244,6 +261,44 @@ def _ser_tuple(top: MapTuple, bottom: MapTuple, pbe: bool,
                     right=bottom)
 
 
+def _par_buckets(view_b, pbe, stride, w_max):
+    """``view_b`` as parallel-operand records per remaining width budget.
+
+    A record is ``(b, width, width * stride, height, wcost, levels,
+    p_dis)``; bucket ``budget`` holds, in view order, the operands
+    whose width fits it.
+    """
+    recs = [(b, b.width, b.width * stride, b.height, b.wcost, b.levels,
+             b.p_dis if pbe else 0) for b in view_b]
+    return [[r for r in recs if r[1] <= budget] for budget in range(w_max)]
+
+
+def _ser_terms(t, pbe, discharge):
+    """What ``t`` brings to either side of a series stack.
+
+    ``(p_dis, p_tail, par_b)`` as the bottom, then ``(p_dis, committed
+    discharge cost)`` as the top — ``_ser_tuple``'s arithmetic.
+    """
+    if not pbe:
+        return 0, 0, False, 0, 0 * discharge
+    if t.par_b:
+        return (t.p_dis, t.p_tail, True, t.p_dis - t.p_tail,
+                (t.p_tail + 1) * discharge)
+    return t.p_dis, t.p_tail, False, t.p_dis + 1, 0 * discharge
+
+
+def _ser_buckets(view_b, pbe, discharge, h_max):
+    """``view_b`` as series-operand records per remaining height budget.
+
+    A record is ``(b, width, height, wcost, levels, *_ser_terms(b),
+    ends_par)``; bucket ``budget`` holds, in view order, the operands
+    whose height fits it.
+    """
+    recs = [(b, b.width, b.height, b.wcost, b.levels,
+             *_ser_terms(b, pbe, discharge), b.ends_par) for b in view_b]
+    return [[r for r in recs if r[2] <= budget] for budget in range(h_max)]
+
+
 class ReferenceKernel:
     """The scalar oracle kernel.
 
@@ -261,9 +316,13 @@ class ReferenceKernel:
     key, ``p_dis`` and operand pair of every slot live in flat per-call
     lists, and a :class:`MapTuple` is built only for each slot's final
     winner — from the same operands with the same arithmetic, so it is
-    the tuple an eager loop would have kept.  With the base
-    ``tuple_key_metrics`` (key is ``wcost``) the metric call is skipped
-    altogether.  Pareto tables keep every accepted candidate as a tuple.
+    the tuple an eager loop would have kept.  Pareto tables use the same
+    slot ids; each slot's front is a per-call list of flat records
+    ``(key, p_dis, p_tail, par_b, top, bottom)``, dominance and eviction
+    compare record fields, and a :class:`MapTuple` is built only for a
+    record still in a front when the call ends (entries of a pre-seeded
+    table keep their own tuples).  With the base ``tuple_key_metrics``
+    (key is ``wcost``) the metric call is skipped altogether.
 
     Bit-identity with the eager seed kernel is load-bearing and rests
     on three invariants: (1) feasible pairs are visited in exactly the
@@ -348,10 +407,7 @@ class ReferenceKernel:
 
             # Parallel composition: W adds, so b must fit the remaining
             # width budget (heights are both within h_max already).
-            recs = [(b, b.width, b.width * stride, b.height, b.wcost,
-                     b.levels, b.p_dis if pbe else 0) for b in view_b]
-            by_budget = [[r for r in recs if r[1] <= budget]
-                         for budget in range(w_max)]
+            by_budget = _par_buckets(view_b, pbe, stride, w_max)
             for a in view_a:
                 a_w = a.width
                 budget = w_max - a_w
@@ -391,21 +447,7 @@ class ReferenceKernel:
 
             # Series composition: H adds, so b must fit the remaining
             # height budget (widths are both within w_max already).
-            # What an operand adds on either side of the stack, as
-            # (p_dis as the bottom, p_dis as the top, committed
-            # discharge cost as the top) — ``_ser_tuple``'s arithmetic.
-            def terms(t):
-                if not pbe:
-                    return 0, 0, 0 * discharge
-                if t.par_b:
-                    return (t.p_dis, t.p_dis - t.p_tail,
-                            (t.p_tail + 1) * discharge)
-                return t.p_dis, t.p_dis + 1, 0 * discharge
-
-            recs = [(b, b.width, b.height, b.wcost, b.levels, *terms(b),
-                     b.par_b, b.ends_par) for b in view_b]
-            by_budget = [[r for r in recs if r[2] <= budget]
-                         for budget in range(h_max)]
+            by_budget = _ser_buckets(view_b, pbe, discharge, h_max)
             pair_cands = 2 if exhaustive else 1
             for a in view_a:
                 a_h = a.height
@@ -417,10 +459,9 @@ class ReferenceKernel:
                 a_w = a.width
                 a_wc = a.wcost
                 a_lv = a.levels
-                a_pd, a_tpd, a_cc = terms(a)
-                a_pb = a.par_b
+                a_pd, _, a_pb, a_tpd, a_cc = _ser_terms(a, pbe, discharge)
                 a_ep = a.ends_par
-                for (b, b_w, b_h, b_wc, b_lv, b_pd, b_tpd, b_cc, b_pb,
+                for (b, b_w, b_h, b_wc, b_lv, b_pd, _, b_pb, b_tpd, b_cc,
                      b_ep) in bucket:
                     sid = (b_w if b_w > a_w else a_w) * stride + a_h + b_h
                     # Stacking order: the configured ordering rule picks
@@ -502,160 +543,203 @@ class ReferenceKernel:
         naive = self._naive
         exhaustive = self._exhaustive
         metric = engine._metric_key
+        plain = self._plain_key
         key_fn = table.key_fn
         discharge = engine.model.discharge_cost()
-        slots = table.raw_slots()
-        slots_get = slots.get
         max_front = table.max_front
+        stride = h_max + 1
+        # Each slot's front as flat records (key, p_dis, p_tail, par_b,
+        # top, bottom): a candidate's operands, or (tuple, None) for a
+        # pre-seeded entry or a tuple built to price an opaque key.
+        fronts = [None] * ((w_max + 1) * stride)
+        arrivals = []
+        slots = table.raw_slots()
+        seeded = []
+        for (width, height), slot in slots.items():
+            if 0 < width <= w_max and 0 < height <= h_max:
+                sid = width * stride + height
+                fronts[sid] = [(key, t.p_dis, t.p_tail, t.par_b, t, None)
+                               for key, t in slot]
+                seeded.append(sid)
         created = 0
         pruned = 0
-        skips = 0
         if is_or:
-            by_budget = [[b for b in view_b if b.width <= budget]
-                         for budget in range(w_max)]
+            def make(a, b):
+                return _par_tuple(a, b, pbe)
+
+            # Parallel composition.  The candidate has par_b True and
+            # p_tail == p_dis, which simplifies both dominance
+            # directions of TupleTable.insert.
+            by_budget = _par_buckets(view_b, pbe, stride, w_max)
             for a in view_a:
-                budget = w_max - a.width
+                a_w = a.width
+                budget = w_max - a_w
                 if budget < 1:
                     continue
-                a_w = a.width
+                bucket = by_budget[budget]
+                created += len(bucket)
+                base = a_w * stride
                 a_h = a.height
                 a_wc = a.wcost
                 a_lv = a.levels
-                a_pd = a.p_dis
-                for b in by_budget[budget]:
-                    created += 1
-                    width = a_w + b.width
-                    b_h = b.height
-                    height = b_h if b_h > a_h else a_h
-                    wcost = a_wc + b.wcost
-                    b_lv = b.levels
-                    levels = b_lv if b_lv > a_lv else a_lv
-                    p_dis = (a_pd + b.p_dis) if pbe else 0
-                    if metric is not None:
-                        key = metric(wcost, levels)
-                        cand = None
+                a_pd = a.p_dis if pbe else 0
+                for b, _, b_ws, b_h, b_wc, b_lv, b_pd in bucket:
+                    sid = base + b_ws + (b_h if b_h > a_h else a_h)
+                    wcost = a_wc + b_wc
+                    top = a
+                    bottom = b
+                    if plain:
+                        key = wcost
+                    elif metric is not None:
+                        key = metric(wcost, b_lv if b_lv > a_lv else a_lv)
                     else:
-                        cand = _par_tuple(a, b, pbe)
-                        key = key_fn(cand)
-                    slot = slots_get((width, height))
-                    if slot is None:
-                        if cand is None:
-                            cand = _par_tuple(a, b, pbe)
-                        slots[(width, height)] = [(key, cand)]
+                        top = make(a, b)
+                        bottom = None
+                        key = key_fn(top)
+                    p_dis = a_pd + b_pd
+                    front = fronts[sid]
+                    if front is None:
+                        fronts[sid] = [(key, p_dis, p_dis, True, top, bottom)]
+                        arrivals.append(sid)
                         continue
-                    # The candidate has par_b True and p_tail == p_dis,
-                    # which simplifies both dominance directions of
-                    # TupleTable.insert.
-                    dominated = False
-                    for kept_key, kept in slot:
-                        if (kept_key <= key and kept.p_dis <= p_dis
-                                and kept.p_tail <= p_dis):
-                            dominated = True
+                    # One pass makes both of insert()'s decisions: an
+                    # entry dominating the candidate rejects it (nothing
+                    # is evicted then); otherwise the entries it
+                    # dominates are dropped before it is appended.
+                    evict = False
+                    for k, pd, pt, pb, _, _ in front:
+                        if k <= key and pd <= p_dis and pt <= p_dis:
+                            pruned += 1
                             break
-                    if dominated:
-                        pruned += 1
-                        if cand is None:
-                            skips += 1
-                        continue
-                    if cand is None:
-                        cand = _par_tuple(a, b, pbe)
-                    slot[:] = [e for e in slot
-                               if not (key <= e[0] and p_dis <= e[1].p_dis
-                                       and p_dis <= e[1].p_tail
-                                       and e[1].par_b)]
-                    slot.append((key, cand))
-                    if len(slot) > max_front:
-                        slot.sort(key=lambda e: (e[0], e[1].p_dis))
-                        del slot[max_front:]
+                        if (pb and key <= k and p_dis <= pd
+                                and p_dis <= pt):
+                            evict = True
+                    else:
+                        if evict:
+                            front[:] = [r for r in front
+                                        if not (r[3] and key <= r[0]
+                                                and p_dis <= r[1]
+                                                and p_dis <= r[2])]
+                        front.append((key, p_dis, p_dis, True, top, bottom))
+                        if len(front) > max_front:
+                            front.sort(key=_FRONT_RANK)
+                            del front[max_front:]
         else:
-            by_budget = [[b for b in view_b if b.height <= budget]
-                         for budget in range(h_max)]
+            def make(top, bottom):
+                return _ser_tuple(top, bottom, pbe, discharge)
+
+            # Series composition: the ordering rules and stacking terms
+            # are the single-best loop's, the front handling the OR
+            # branch's.
+            by_budget = _ser_buckets(view_b, pbe, discharge, h_max)
+            pair_cands = 2 if exhaustive else 1
             for a in view_a:
-                budget = h_max - a.height
+                a_h = a.height
+                budget = h_max - a_h
                 if budget < 1:
                     continue
-                for b in by_budget[budget]:
+                bucket = by_budget[budget]
+                created += pair_cands * len(bucket)
+                a_w = a.width
+                a_wc = a.wcost
+                a_lv = a.levels
+                a_pd, a_pt, a_pb, a_tpd, a_cc = _ser_terms(a, pbe, discharge)
+                a_ep = a.ends_par
+                for (b, b_w, b_h, b_wc, b_lv, b_pd, b_pt, b_pb, b_tpd, b_cc,
+                     b_ep) in bucket:
+                    sid = (b_w if b_w > a_w else a_w) * stride + a_h + b_h
                     if exhaustive:
-                        orders = ((a, b), (b, a))
+                        orders = _BOTH_ORDERS
                     elif adverse:
-                        if b.ends_par and not a.ends_par:
-                            orders = ((b, a),)
-                        else:
-                            orders = ((a, b),)
+                        orders = (_B_ON_TOP if b_ep and not a_ep
+                                  else _A_ON_TOP)
                     elif naive:
-                        orders = ((a, b),)
-                    elif a.par_b != b.par_b:
-                        orders = ((b, a),) if a.par_b else ((a, b),)
-                    elif a.p_dis >= b.p_dis:
-                        orders = ((b, a),)
+                        orders = _A_ON_TOP
+                    elif a_pb != b_pb:
+                        orders = _B_ON_TOP if a_pb else _A_ON_TOP
+                    elif a_pd >= b_pd:
+                        orders = _B_ON_TOP
                     else:
-                        orders = ((a, b),)
-                    for top, bottom in orders:
-                        created += 1
-                        t_w = top.width
-                        b_w = bottom.width
-                        width = t_w if t_w > b_w else b_w
-                        height = top.height + bottom.height
-                        if pbe:
-                            if top.par_b:
-                                committed = top.p_tail + 1
-                                p_dis = ((top.p_dis - top.p_tail)
-                                         + bottom.p_dis)
-                            else:
-                                committed = 0
-                                p_dis = top.p_dis + 1 + bottom.p_dis
-                            p_tail = bottom.p_tail
-                            par_b = bottom.par_b
+                        orders = _A_ON_TOP
+                    wsum = a_wc + b_wc
+                    for b_on_top in orders:
+                        if b_on_top:
+                            top = b
+                            bottom = a
+                            p_dis = b_tpd + a_pd
+                            p_tail = a_pt
+                            par_b = a_pb
+                            wcost = wsum + b_cc
                         else:
-                            committed = 0
-                            p_dis = 0
-                            p_tail = 0
-                            par_b = False
-                        wcost = (top.wcost + bottom.wcost
-                                 + committed * discharge)
-                        t_lv = top.levels
-                        b_lv = bottom.levels
-                        levels = t_lv if t_lv > b_lv else b_lv
-                        if metric is not None:
-                            key = metric(wcost, levels)
-                            cand = None
+                            top = a
+                            bottom = b
+                            p_dis = a_tpd + b_pd
+                            p_tail = b_pt
+                            par_b = b_pb
+                            wcost = wsum + a_cc
+                        if plain:
+                            key = wcost
+                        elif metric is not None:
+                            key = metric(wcost,
+                                         b_lv if b_lv > a_lv else a_lv)
                         else:
-                            cand = _ser_tuple(top, bottom, pbe, discharge)
-                            key = key_fn(cand)
-                        slot = slots_get((width, height))
-                        if slot is None:
-                            if cand is None:
-                                cand = _ser_tuple(top, bottom, pbe,
-                                                  discharge)
-                            slots[(width, height)] = [(key, cand)]
+                            top = make(top, bottom)
+                            bottom = None
+                            key = key_fn(top)
+                        front = fronts[sid]
+                        if front is None:
+                            fronts[sid] = [(key, p_dis, p_tail, par_b, top,
+                                            bottom)]
+                            arrivals.append(sid)
                             continue
-                        dominated = False
-                        for kept_key, kept in slot:
-                            if (kept_key <= key and kept.p_dis <= p_dis
-                                    and kept.p_tail <= p_tail
-                                    and (not kept.par_b or par_b)):
-                                dominated = True
+                        evict = False
+                        for k, pd, pt, pb, _, _ in front:
+                            if (k <= key and pd <= p_dis and pt <= p_tail
+                                    and (par_b or not pb)):
+                                pruned += 1
                                 break
-                        if dominated:
-                            pruned += 1
-                            if cand is None:
-                                skips += 1
-                            continue
-                        if cand is None:
-                            cand = _ser_tuple(top, bottom, pbe, discharge)
-                        slot[:] = [e for e in slot
-                                   if not (key <= e[0]
-                                           and p_dis <= e[1].p_dis
-                                           and p_tail <= e[1].p_tail
-                                           and (not par_b or e[1].par_b))]
-                        slot.append((key, cand))
-                        if len(slot) > max_front:
-                            slot.sort(key=lambda e: (e[0], e[1].p_dis))
-                            del slot[max_front:]
+                            if (key <= k and p_dis <= pd and p_tail <= pt
+                                    and (pb or not par_b)):
+                                evict = True
+                        else:
+                            if evict:
+                                front[:] = [r for r in front
+                                            if not (key <= r[0]
+                                                    and p_dis <= r[1]
+                                                    and p_tail <= r[2]
+                                                    and (r[3] or not par_b))]
+                            front.append((key, p_dis, p_tail, par_b, top,
+                                          bottom))
+                            if len(front) > max_front:
+                                front.sort(key=_FRONT_RANK)
+                                del front[max_front:]
+        # Only now are tuples built: one per record still in a front.
+        for sid in seeded:
+            slots[divmod(sid, stride)][:] = [
+                (r[0], r[4] if r[5] is None else make(r[4], r[5]))
+                for r in fronts[sid]]
+        for sid in arrivals:
+            slots[divmod(sid, stride)] = [
+                (r[0], r[4] if r[5] is None else make(r[4], r[5]))
+                for r in fronts[sid]]
         stats = engine.stats
         stats.tuples_created += created
         stats.tuples_pruned += pruned
-        stats.bound_skips += skips
+        if metric is not None:
+            stats.bound_skips += pruned
+
+
+def auto_series_cutoff(config, threshold: int) -> float:
+    """Smallest series grid the ``auto`` kernel sends to soa in a run.
+
+    ``threshold`` (``MapperConfig.auto_threshold``), except that a
+    Pareto run with fewer than :data:`AUTO_PARETO_SLOTS` ``{W,H}``
+    slots sends none (infinity).
+    """
+    if (config.pareto
+            and (config.w_max + 1) * (config.h_max + 1) < AUTO_PARETO_SLOTS):
+        return float("inf")
+    return threshold
 
 
 class AutoKernel:
@@ -666,7 +750,11 @@ class AutoKernel:
     ``MapperConfig.auto_threshold`` pairs (via ``resolve_kernel``);
     parallel (OR) calls and smaller grids stay on the reference kernel,
     which the measured crossover (:data:`AUTO_THRESHOLD`) shows never
-    losing to soa on OR calls of any size that mattered.
+    losing to soa on OR calls of any size that mattered.  A Pareto run
+    with fewer than :data:`AUTO_PARETO_SLOTS` ``{W,H}`` slots keeps
+    every call on the reference kernel: there its slot-indexed front
+    beats routing by grid size.  ``build`` binds the table mode and
+    slot count from the engine's config.
 
     Sound as a per-call choice because both kernels produce identical
     tables and identical stats counters — the routing decision is pure
@@ -683,17 +771,21 @@ class AutoKernel:
         self._reference = reference
         self._soa = soa
         self._threshold = AUTO_THRESHOLD if threshold is None else threshold
+        # The series cutoff in force; build() lifts it out of reach for
+        # Pareto runs below AUTO_PARETO_SLOTS.
+        self._cutoff = self._threshold
         # Replaced by the engine's stats on build(); a throwaway default
         # keeps an unbuilt hybrid (unit tests, ad-hoc harnesses) usable.
         self._stats = MappingStats()
 
     def build(self, engine) -> None:
         self._stats = engine.stats
+        self._cutoff = auto_series_cutoff(engine.config, self._threshold)
         self._reference.build(engine)
         self._soa.build(engine)
 
     def combine(self, table, is_or, view_a, view_b) -> None:
-        if not is_or and len(view_a) * len(view_b) >= self._threshold:
+        if not is_or and len(view_a) * len(view_b) >= self._cutoff:
             self._stats.auto_routed_soa += 1
             self._soa.combine(table, is_or, view_a, view_b)
         else:

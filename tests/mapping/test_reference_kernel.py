@@ -138,15 +138,16 @@ def _snapshot(table):
             for shape, entries in table.raw_slots().items()]
 
 
-def _seeded_table(model, config, seeds):
-    table = TupleTable(model.tuple_key, pareto=config.pareto)
+def _seeded_table(model, config, seeds, max_front):
+    table = TupleTable(model.tuple_key, pareto=config.pareto,
+                       max_front=max_front)
     for t in seeds:
         table.insert(t)
     return table
 
 
-def _compare(config, model, view_a, view_b, is_or, seeds=()):
-    expected = _seeded_table(model, config, seeds)
+def _compare(config, model, view_a, view_b, is_or, seeds=(), max_front=4):
+    expected = _seeded_table(model, config, seeds, max_front)
     counters = _oracle(config, model, expected, is_or, view_a, view_b)
 
     engine = SimpleNamespace(config=config, model=model,
@@ -154,12 +155,13 @@ def _compare(config, model, view_a, view_b, is_or, seeds=()):
                              _metric_key=metric_fast_path(model))
     kernel = ReferenceKernel()
     kernel.build(engine)
-    actual = _seeded_table(model, config, seeds)
+    actual = _seeded_table(model, config, seeds, max_front)
     kernel.combine(actual, is_or, view_a, view_b)
     stats = engine.stats
     assert _snapshot(actual) == _snapshot(expected)
     assert (stats.tuples_created, stats.tuples_pruned,
             stats.bound_skips) == counters
+    return actual
 
 
 def _views(rng, config, fractional, size=24):
@@ -171,6 +173,15 @@ def _views(rng, config, fractional, size=24):
 
 
 ORDERINGS = ["paper", "naive", "adverse", "exhaustive"]
+
+#: Pareto front caps every pareto case runs at: one survivor per slot
+#: (every accept truncates), two, the default four, and one no view
+#: here ever fills (truncation never runs).
+FRONT_CAPS = (1, 2, 4, 64)
+
+
+def _caps(config):
+    return FRONT_CAPS if config.pareto else (4,)
 
 
 @pytest.mark.parametrize("ordering", ORDERINGS)
@@ -189,7 +200,9 @@ def test_fuzzed_views_match_eager_oracle(ordering, pbe, fractional, pareto):
                               pbe_aware=pbe, pareto=pareto)
         view_a, view_b = _views(rng, config, fractional)
         for is_or in (True, False):
-            _compare(config, model, view_a, view_b, is_or)
+            for max_front in _caps(config):
+                _compare(config, model, view_a, view_b, is_or,
+                         max_front=max_front)
 
 
 @pytest.mark.parametrize("model", [DepthCost(), DepthCost(level_weight=2.5),
@@ -203,7 +216,9 @@ def test_non_plain_keys_match_eager_oracle(model, ordering):
                               pareto=seed % 2 == 1)
         view_a, view_b = _views(rng, config, True, size=16)
         for is_or in (True, False):
-            _compare(config, model, view_a, view_b, is_or)
+            for max_front in _caps(config):
+                _compare(config, model, view_a, view_b, is_or,
+                         max_front=max_front)
 
 
 @pytest.mark.parametrize("ordering", ORDERINGS)
@@ -222,4 +237,59 @@ def test_seeded_table_matches_eager_oracle(ordering, pareto):
             t.wcost = rng.randint(0, 3) / 2.0
         view_a, view_b = _views(rng, config, seed % 2 == 0, size=14)
         for is_or in (True, False):
-            _compare(config, model, view_a, view_b, is_or, seeds=seeds)
+            for max_front in _caps(config):
+                _compare(config, model, view_a, view_b, is_or, seeds=seeds,
+                         max_front=max_front)
+
+
+def _tie_heavy_tuple(rng, idx, config):
+    # Keys from a two-value set and p_dis from a narrow band: truncation
+    # keeps landing on exact (key, p_dis) ties, which only the stable
+    # sort's arrival order breaks.
+    width = rng.randint(1, config.w_max)
+    height = rng.randint(1, config.h_max)
+    trans = rng.choice((3, 4))
+    par_b = rng.random() < 0.5
+    p_dis = rng.randint(0, 2)
+    return MapTuple(width=width, height=height, wcost=float(trans),
+                    trans=trans, disch=rng.randint(0, 1),
+                    levels=rng.randint(0, 2), p_dis=p_dis, par_b=par_b,
+                    has_pi=rng.random() < 0.5, p_tail=rng.randint(0, p_dis),
+                    ends_par=par_b or rng.random() < 0.3,
+                    structure=Leaf(f"t{idx}"))
+
+
+@pytest.mark.parametrize("max_front", [1, 2, 4])
+@pytest.mark.parametrize("ordering", ["paper", "exhaustive"])
+def test_exact_key_ties_at_truncation_match_eager_oracle(max_front,
+                                                         ordering):
+    """Slots full of exact (key, p_dis) duplicates truncate in order."""
+    model = CostModel()
+    for seed in range(6):
+        rng = random.Random(1300 + 31 * max_front + seed)
+        config = MapperConfig(w_max=3, h_max=4, ordering=ordering,
+                              pareto=True)
+        view_a = [_tie_heavy_tuple(rng, i, config)
+                  for i in range(rng.randint(6, 24))]
+        view_b = [_tie_heavy_tuple(rng, 100 + i, config)
+                  for i in range(rng.randint(6, 24))]
+        for is_or in (True, False):
+            _compare(config, model, view_a, view_b, is_or,
+                     max_front=max_front)
+
+
+def test_parallel_candidate_keeps_series_ending_seed():
+    """An OR candidate (par_b True) never evicts a series-ending entry,
+    however much cheaper it is: par_b is a dominance field too."""
+    def leaf(name, wcost):
+        return MapTuple(width=1, height=1, wcost=wcost, trans=1, disch=0,
+                        levels=0, p_dis=0, par_b=False, has_pi=False,
+                        structure=Leaf(name))
+
+    config = MapperConfig(w_max=4, h_max=4, pareto=True)
+    seed = MapTuple(width=2, height=1, wcost=9.0, trans=9, disch=0,
+                    levels=0, p_dis=0, par_b=False, has_pi=False,
+                    structure=Leaf("s"))
+    table = _compare(config, CostModel(), [leaf("a", 1.0)],
+                     [leaf("b", 1.0)], True, seeds=[seed])
+    assert [t.par_b for t in table.get(2, 1)] == [False, True]

@@ -313,6 +313,36 @@ def test_auto_kernel_sends_only_series_grids_to_soa():
     assert auto.stats()["routed_reference"] == 3
 
 
+@pytest.mark.parametrize("config, routed", [
+    ({"pareto": True}, "ref"),                              # 54 slots
+    ({"pareto": True, "w_max": 22, "h_max": 26}, "soa"),    # 621 slots
+    ({}, "soa"),                                            # 54, single
+], ids=["pareto-w5h8", "pareto-w22h26", "single-w5h8"])
+def test_built_auto_kernel_gates_pareto_runs_by_slot_count(config, routed):
+    """Pareto runs below AUTO_PARETO_SLOTS keep even large series grids
+    scalar; larger Pareto runs and single-best runs use the cutoff."""
+    calls = []
+    auto = AutoKernel(_SpyKernel("ref", calls), _SpyKernel("soa", calls),
+                      threshold=10)
+    auto.build(SimpleNamespace(config=MapperConfig(**config),
+                               stats=MappingStats()))
+    auto.combine(None, False, [None] * 5, [None] * 2)    # series, at cutoff
+    auto.combine(None, False, [None] * 9, [None] * 1)    # series, below
+    auto.combine(None, True, [None] * 5, [None] * 2)     # OR, at cutoff
+    assert calls == [routed, "ref", "ref"]
+
+
+@pytest.mark.parametrize("circuit", ["c432", "9symml"])
+def test_paper_limit_pareto_run_stays_scalar(circuit):
+    # 9symml has series grids past the cutoff (17 went to soa under the
+    # series-only rule); c432 has none
+    r = map_network(load_circuit(circuit),
+                    config=MapperConfig(ordering="exhaustive", pareto=True))
+    assert r.mapping.kernel == "hybrid"
+    assert r.stats.auto_routed_soa == 0
+    assert r.stats.auto_routed_reference > 0
+
+
 def test_default_cutoff_keeps_paper_limits_scalar():
     """At W5/H8 single-best grids never reach the default cutoff."""
     r = map_network(load_circuit("c432"), config=MapperConfig())
