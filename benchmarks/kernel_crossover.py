@@ -14,21 +14,16 @@ derived from these tables: after them the script prints, for each
 candidate cutoff of the rule "series grids at or above the cutoff go to
 soa, everything else to reference", every setting's routed combine
 time over its all-reference time, and the cutoff with the least total.
-
-Pareto settings are also routed by slot count: a Pareto run with fewer
-than ``AUTO_PARETO_SLOTS`` ``{W,H}`` slots, ``(w_max + 1) * (h_max + 1)``,
-keeps every call scalar.  The last table prices that rule: per setting,
-all-reference, all-soa, the series cutoff alone, and what ``auto``
-routes, plus the smallest measured slot count from which the series
-cutoff beats all-reference by more than ``TIE_MARGIN`` at every larger
-Pareto setting — the measurement ``AUTO_PARETO_SLOTS`` is derived from.
+The last table prices each setting all-reference, all-soa, under the
+series cutoff alone, and as ``auto`` routes it (Pareto runs stay on
+reference).
 
     PYTHONPATH=src python benchmarks/kernel_crossover.py
     PYTHONPATH=src python benchmarks/kernel_crossover.py \\
-        --modes single pareto --ordering exhaustive --circuits 9symml f51m
-    PYTHONPATH=src python benchmarks/kernel_crossover.py --modes pareto \\
-        --ordering exhaustive --limits 5x8 8x10 12x14 16x20 22x26 \\
-        --circuits f51m
+        --ordering exhaustive --circuits 9symml f51m
+
+``--modes pareto`` replays Pareto tables too; the soa kernel hands PBE
+Pareto calls to the scalar loop, so that replay times one loop twice.
 
 Needs numpy (the soa kernel).
 """
@@ -43,8 +38,8 @@ from collections import defaultdict
 from repro.bench_suite import load_circuit
 from repro.mapping import MapperConfig, map_network
 from repro.mapping.engine import MappingEngine
-from repro.mapping.kernel import (AUTO_PARETO_SLOTS, AUTO_THRESHOLD,
-                                  ReferenceKernel, auto_series_cutoff)
+from repro.mapping.kernel import (AUTO_THRESHOLD, ReferenceKernel,
+                                  auto_series_cutoff)
 from repro.mapping.soa import make_soa_kernel
 from repro.mapping.tuples import TupleTable
 
@@ -139,26 +134,6 @@ def routed_seconds(table, threshold):
                for (op, bucket), (_, ref_s, soa_s) in table.items())
 
 
-#: How much less combine time the series cutoff must take than
-#: all-reference to count as a win for the Pareto slot gate: settings
-#: closer than this are ties, which move either way between runs on a
-#: shared VM.
-TIE_MARGIN = 0.02
-
-
-def pareto_slot_cutoff(rows):
-    """Smallest Pareto slot count from which the series cutoff beats
-    all-reference by more than ``TIE_MARGIN`` at every larger measured
-    setting."""
-    cutoff = None
-    for slots, table in sorted(rows, key=lambda row: row[0], reverse=True):
-        if (routed_seconds(table, AUTO_THRESHOLD)
-                >= (1 - TIE_MARGIN) * routed_seconds(table, float("inf"))):
-            break
-        cutoff = slots
-    return cutoff
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--limits", nargs="+", default=["5x8", "8x10",
@@ -219,26 +194,17 @@ def main(argv=None) -> int:
     # The routing auto applies, priced per setting next to either
     # kernel alone and the series cutoff alone.
     print()
-    print(f"| setting | slots | reference s | soa s | series cutoff "
+    print(f"| setting | reference s | soa s | series cutoff "
           f"{AUTO_THRESHOLD} s | auto s |")
-    print("|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|")
     for name, table in tables.items():
         config = configs[name]
-        slots = (config.w_max + 1) * (config.h_max + 1)
         cutoff = auto_series_cutoff(config, config.auto_threshold)
-        print(f"| {name} | {slots} "
+        print(f"| {name} "
               f"| {routed_seconds(table, float('inf')):.3f} "
               f"| {sum(soa_s for _, _, soa_s in table.values()):.3f} "
               f"| {routed_seconds(table, AUTO_THRESHOLD):.3f} "
               f"| {routed_seconds(table, cutoff):.3f} |")
-    pareto_rows = [((c.w_max + 1) * (c.h_max + 1), tables[n])
-                   for n, c in configs.items() if c.pareto]
-    if pareto_rows:
-        cutoff = pareto_slot_cutoff(pareto_rows)
-        print(f"pareto: the series cutoff beats all-reference by more "
-              f"than {TIE_MARGIN:.0%} from "
-              f"{cutoff if cutoff is not None else 'no measured'} slots "
-              f"(AUTO_PARETO_SLOTS = {AUTO_PARETO_SLOTS})")
     return 0
 
 

@@ -517,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the soa kernel, everything else to the "
                             "reference kernel (default 2048, the measured "
                             "crossover; DESIGN.md section 12); Pareto "
-                            "runs with few {W,H} slots, W5/H8 among them, "
-                            "never route to soa")
+                            "runs never route to soa")
     p_map.add_argument("--netlist", action="store_true",
                        help="print the SPICE-style transistor netlist")
     p_map.add_argument("--dot", action="store_true",
@@ -565,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="auto kernel routing cutoff: series grids "
                               "of at least N candidate pairs go to soa "
                               "(default 2048, the measured crossover); "
-                              "Pareto runs with few {W,H} slots never do")
+                              "Pareto runs never do")
     p_batch.add_argument("--store", metavar="PATH", default=None,
                          help="mount the persistent cone cache at PATH "
                               "under every worker (see 'soidomino cache')")

@@ -102,9 +102,8 @@ class MapperConfig:
         structure-of-arrays numpy kernel (bit-identical tables,
         requires numpy); ``"auto"`` (the default) — a hybrid sending
         large series combine calls to soa when numpy is importable and
-        everything else to the reference kernel (Pareto runs below
-        :data:`~repro.mapping.kernel.AUTO_PARETO_SLOTS` ``{W,H}`` slots
-        stay on the reference kernel entirely).
+        everything else to the reference kernel (Pareto runs stay on
+        the reference kernel entirely).
         Third-party kernels registered via
         :func:`~repro.mapping.kernel.register_kernel` are selected the
         same way.  Excluded from :meth:`fingerprint` because the kernel
@@ -120,10 +119,8 @@ class MapperConfig:
         measured crossover (DESIGN.md §12, reproduced by
         ``benchmarks/kernel_crossover.py``): above every single-best
         grid at the paper's W5/H8, so paper runs stay scalar.  The
-        cutoff does not apply to Pareto runs with fewer than
-        :data:`~repro.mapping.kernel.AUTO_PARETO_SLOTS`
-        ``(w_max + 1) * (h_max + 1)`` slots: those never route to soa,
-        whatever this says.  Pure
+        cutoff does not apply to Pareto runs: those never route to
+        soa, whatever this says.  Pure
         execution strategy like ``kernel`` — any setting yields
         bit-identical tables — so it is likewise excluded from
         :meth:`fingerprint`; the decision tally is observable in

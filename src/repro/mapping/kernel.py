@@ -10,16 +10,15 @@ Three kernels ship built in:
   incumbent-bound optimizations of PR 2.  It is the oracle: every other
   kernel must reproduce its tables bit-for-bit.
 * ``"soa"`` — the structure-of-arrays numpy kernel
-  (:mod:`repro.mapping.soa`): candidate generation and dominance
-  filtering as broadcasted column arithmetic, bit-identical to the
-  reference by construction (see DESIGN.md §12).
-* ``"auto"`` — a hybrid that routes a series (AND) combine call to the
-  soa kernel when numpy is importable and its candidate grid is at
-  least ``MapperConfig.auto_threshold`` pairs, and every other call to
-  the reference kernel; Pareto runs with fewer than
-  :data:`AUTO_PARETO_SLOTS` ``{W,H}`` slots stay on the reference
-  kernel altogether (see :data:`AUTO_THRESHOLD` and
-  :data:`AUTO_PARETO_SLOTS` for the measured crossovers behind the
+  (:mod:`repro.mapping.soa`): candidate generation and single-best
+  selection as broadcasted column arithmetic, bit-identical to the
+  reference by construction; PBE-Pareto and pre-seeded tables run on
+  the reference loop (see DESIGN.md §12).
+* ``"auto"`` — a hybrid that routes a series (AND) combine call of a
+  single-best run to the soa kernel when numpy is importable and its
+  candidate grid is at least ``MapperConfig.auto_threshold`` pairs, and
+  every other call to the reference kernel; Pareto runs never route to
+  soa (see :data:`AUTO_THRESHOLD` for the measured crossover behind the
   rule).  Sound because both kernels
   produce identical tables *and* identical stats counters; the per-call
   routing tally lands in ``stats.auto_routed_soa`` /
@@ -64,21 +63,12 @@ KERNELS = ("reference", "soa", "auto")
 #: ``len(view_a) * len(view_b)`` for the auto kernel to route a series
 #: combine call to the soa kernel.  Measured with
 #: ``benchmarks/kernel_crossover.py`` (per-op tables in DESIGN.md §12):
-#: soa wins every series bucket from 2,048 pairs at W5/H8, W8/H10 and
-#: W12/H14, single and Pareto tables alike, and loses every parallel
-#: (OR) bucket at W5/H8 and W8/H10 up to 8,192 pairs.  2,048 also sits
+#: soa wins every single-best series bucket from 2,048 pairs at W5/H8,
+#: W8/H10 and W12/H14, and loses every parallel (OR) bucket at W5/H8
+#: and W8/H10 up to 8,192 pairs.  2,048 also sits
 #: above every single-best grid at the paper's W5/H8 (at most about
 #: 41 x 41 pairs), so paper-limit runs never pay for soa.
 AUTO_THRESHOLD = 2048
-
-#: Pareto-table runs with fewer ``{W,H}`` slots than this —
-#: ``(w_max + 1) * (h_max + 1)`` — never route to soa.  Measured with
-#: ``benchmarks/kernel_crossover.py --modes pareto --ordering
-#: exhaustive`` (DESIGN.md §12): the reference kernel's slot-indexed
-#: front beats the series cutoff in total on f51m up to W18/H22 (437
-#: slots), ties with it at W20/H24 (525) and loses by 10–15% at W22/H26
-#: (621).
-AUTO_PARETO_SLOTS = 621
 
 #: name -> factory.  A factory is called with the bound-to-be
 #: :class:`~repro.mapping.engine.MappingEngine` and returns an
@@ -732,14 +722,10 @@ class ReferenceKernel:
 def auto_series_cutoff(config, threshold: int) -> float:
     """Smallest series grid the ``auto`` kernel sends to soa in a run.
 
-    ``threshold`` (``MapperConfig.auto_threshold``), except that a
-    Pareto run with fewer than :data:`AUTO_PARETO_SLOTS` ``{W,H}``
-    slots sends none (infinity).
+    ``threshold`` (``MapperConfig.auto_threshold``) for a single-best
+    run; a Pareto run sends none (infinity).
     """
-    if (config.pareto
-            and (config.w_max + 1) * (config.h_max + 1) < AUTO_PARETO_SLOTS):
-        return float("inf")
-    return threshold
+    return float("inf") if config.pareto else threshold
 
 
 class AutoKernel:
@@ -751,10 +737,9 @@ class AutoKernel:
     parallel (OR) calls and smaller grids stay on the reference kernel,
     which the measured crossover (:data:`AUTO_THRESHOLD`) shows never
     losing to soa on OR calls of any size that mattered.  A Pareto run
-    with fewer than :data:`AUTO_PARETO_SLOTS` ``{W,H}`` slots keeps
-    every call on the reference kernel: there its slot-indexed front
-    beats routing by grid size.  ``build`` binds the table mode and
-    slot count from the engine's config.
+    keeps every call on the reference kernel (soa would hand a PBE
+    front to that same scalar loop anyway).  ``build`` binds the table
+    mode from the engine's config.
 
     Sound as a per-call choice because both kernels produce identical
     tables and identical stats counters — the routing decision is pure
@@ -772,7 +757,7 @@ class AutoKernel:
         self._soa = soa
         self._threshold = AUTO_THRESHOLD if threshold is None else threshold
         # The series cutoff in force; build() lifts it out of reach for
-        # Pareto runs below AUTO_PARETO_SLOTS.
+        # Pareto runs.
         self._cutoff = self._threshold
         # Replaced by the engine's stats on build(); a throwaway default
         # keeps an unbuilt hybrid (unit tests, ad-hoc harnesses) usable.

@@ -208,29 +208,6 @@ class TupleTable:
         return [(shape, [t for _, t in slot])
                 for shape, slot in self._slots.items()]
 
-    def install_front(self, shape: Tuple[int, int], entries) -> None:
-        """Install a finished front for ``shape``, replacing any existing.
-
-        The bulk write path for vectorized kernels: ``entries`` are
-        ``(key, tuple)`` pairs and must arrive in exactly the order a
-        sequence of :meth:`insert` calls would have left them (accept
-        order, re-ranked by ``(key, p_dis)`` at each truncation) —
-        slot iteration order is load-bearing for digests and the tree
-        cache.  No dominance checking happens here; the caller owns
-        the parity obligation, the same contract as :meth:`raw_slots`.
-        """
-        self._slots[shape] = list(entries)
-
-    def export_front(self, shape: Tuple[int, int]
-                     ) -> List[Tuple[float, MapTuple]]:
-        """The stored ``(key, tuple)`` pairs for ``shape``, in order.
-
-        A copy — safe to hold across further inserts.  The read half of
-        the columnwise front interchange: what :meth:`install_front`
-        wrote (or :meth:`insert` accumulated) comes back verbatim.
-        """
-        return list(self._slots.get(shape, ()))
-
     def admits(self, shape: Tuple[int, int], key, p_dis: int,
                p_tail: int = 0, par_b: bool = False) -> bool:
         """Would :meth:`insert` keep a candidate with these scalars?

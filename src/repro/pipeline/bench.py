@@ -180,8 +180,9 @@ def _throughput_row(row: Dict) -> bool:
 #: The pareto-heavy throughput subset: bounded Pareto fronts under the
 #: exhaustive ordering — the PBE-aware regime the paper actually runs,
 #: where every candidate is priced by the keep/evict/truncate front
-#: recurrence rather than a plain argmin.  This is the subset the
-#: columnwise-front reducer (DESIGN.md §12) is measured on.
+#: recurrence rather than a plain argmin.  The soa kernel hands these
+#: fronts to the scalar loop (DESIGN.md §12), so both kernels time the
+#: same code here.
 def _pareto_heavy_row(row: Dict) -> bool:
     return (row["ok"] and row["table_mode"] == "pareto"
             and row["ordering"] == "exhaustive")

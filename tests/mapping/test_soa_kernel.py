@@ -7,8 +7,9 @@ Three layers of checks:
   orderings x table modes x cost models, comparing the resulting slot
   maps *exactly*: slot insertion order, per-slot entry order, selection
   keys, and every scalar field of every surviving tuple.  This covers
-  the vectorized selection paths (packed prefix-min, radix-digit sort,
-  pareto pre-reject + replay) far from the corners real circuits visit.
+  the vectorized selection paths (packed prefix-min, radix-digit sort)
+  and the calls soa hands to the scalar loop (PBE-Pareto and seeded
+  tables) far from the corners real circuits visit.
 * **Engine-level equivalence** — ``kernel="soa"``/``"auto"`` reproduce
   the reference digests and stats on real networks (the broader sweep
   lives in ``test_lazy_equivalence.py``, which runs every pinned seed
@@ -237,6 +238,40 @@ def test_seeded_table_path_bit_identical():
         assert soa_stats == ref_stats
 
 
+@pytest.mark.parametrize("case, batches", [
+    ("pbe-pareto", 0), ("seeded", 0), ("single", 1)])
+def test_scalar_front_calls_delegate_to_reference(case, batches):
+    """PBE-Pareto and pre-seeded tables run on the scalar loop and count
+    no soa batch; a single-best call counts one.  Tables and work
+    counters are the reference's either way."""
+    model = CostModel()
+    rng = random.Random(23)
+    config = MapperConfig(w_max=5, h_max=8, ordering="exhaustive",
+                          pareto=case == "pbe-pareto", pbe_aware=True)
+    seed_table = None
+    if case == "seeded":
+        seeds = [_random_tuple(rng, 200 + i, config, True) for i in range(4)]
+        seed_table = [((t.width, t.height), [(model.tuple_key(t), t)])
+                      for t in seeds]
+    view_a = [_random_tuple(rng, i, config, True) for i in range(12)]
+    view_b = [_random_tuple(rng, 60 + i, config, True) for i in range(12)]
+    for is_or in (True, False):
+        (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
+            config, model, view_a, view_b, is_or, seed_table=seed_table)
+        assert soa_slots == ref_slots
+        assert soa_stats == ref_stats
+        assert ref_stats[0] > 0
+        engine = _fake_engine(config, model)
+        kernel = make_soa_kernel()
+        kernel.build(engine)
+        table = TupleTable(key_fn=model.tuple_key, pareto=config.pareto)
+        for shape, entries in seed_table or ():
+            table.raw_slots()[shape] = list(entries)
+        kernel.combine(table, is_or, view_a, view_b)
+        assert kernel.stats()["soa_batches"] == batches
+        assert engine.stats.soa_batches == batches
+
+
 # ---------------------------------------------------------------------------
 # engine-level equivalence and instrumentation
 # ---------------------------------------------------------------------------
@@ -315,12 +350,12 @@ def test_auto_kernel_sends_only_series_grids_to_soa():
 
 @pytest.mark.parametrize("config, routed", [
     ({"pareto": True}, "ref"),                              # 54 slots
-    ({"pareto": True, "w_max": 22, "h_max": 26}, "soa"),    # 621 slots
+    ({"pareto": True, "w_max": 22, "h_max": 26}, "ref"),    # 621 slots
     ({}, "soa"),                                            # 54, single
 ], ids=["pareto-w5h8", "pareto-w22h26", "single-w5h8"])
 def test_built_auto_kernel_gates_pareto_runs_by_slot_count(config, routed):
-    """Pareto runs below AUTO_PARETO_SLOTS keep even large series grids
-    scalar; larger Pareto runs and single-best runs use the cutoff."""
+    """Pareto runs keep even large series grids scalar at any slot
+    count; single-best runs use the cutoff."""
     calls = []
     auto = AutoKernel(_SpyKernel("ref", calls), _SpyKernel("soa", calls),
                       threshold=10)
